@@ -10,8 +10,9 @@ Two kinds of entries are compared, matched by name across the files:
   * engine kernel rates (the "event_core" and — since PR 7 —
     "large_scale" sections, or PR 3's "shard_scaling" section, whose rows
     are normalized to the same keys): events_per_s, higher is better. Rows
-    are keyed by (engine, nodes, shards), so the serial facade, sharded
-    online, sharded replay and large-scale rows are tracked independently;
+    are keyed by (engine, nodes, shards, hw), so sharded online, sharded
+    replay and large-scale rows are tracked independently (older records
+    also hold "serial" rows, which now show up as vanished);
   * engine memory footprints (the same sections' mem_bytes key): bytes at
     end of run, lower is better. A row that silently balloons past the
     threshold fails CI even if its events/s held up — the large-scale tier
@@ -39,9 +40,17 @@ Two kinds of entries are compared, matched by name across the files:
     exists to prevent — moves spread by tenths (PR 9's own deltas:
     0.144 -> 0.028).
 
+Every engine, serving and rebalance row key also carries hw, the
+section's hardware_threads (older sections without one fall back to the
+google-benchmark context's num_cpus), so rows recorded on a 1-core host
+and on a multi-core host never gate each other: they show up as
+only-in-one-file instead of as a speedup or a regression.
+
 Entries present in only one file are reported but never fail the check
-(benches come and go across PRs); a matched entry that regressed by more
-than --threshold percent (default 25) fails with exit code 1. Records are
+(benches come and go across PRs); the last line before the verdict counts
+the entries only in the OLD file, so a row or section that vanished is
+reported, not passed over. A matched entry that regressed by more than
+--threshold percent (default 25) fails with exit code 1. Records are
 expected to come from comparable runs (same host class, same build type) —
 this guards against collateral kernel damage, not micro-noise, hence the
 generous default threshold.
@@ -61,30 +70,38 @@ def micro_kernels(record):
     return out
 
 
-def _engine_rows(record):
-    """Rows from every section that prints (engine, nodes, shards) rows."""
-    for section in ("event_core", "large_scale"):
-        for row in record.get(section, {}).get("results", []):
-            yield row
+def _section_rows(record, *sections):
+    """(row, hw) for every row of the named sections, where hw is the
+    section's hardware_threads (or the record's num_cpus when absent)."""
+    default_hw = record.get("context", {}).get("num_cpus", 0)
+    for section in sections:
+        body = record.get(section, {})
+        hw = int(body.get("hardware_threads", default_hw))
+        for row in body.get("results", []):
+            yield row, hw
+
+
+def _engine_key(row, hw):
+    return "engine=%s,nodes=%d,shards=%d,hw=%d" % (
+        row.get("engine", "sharded"),
+        int(row["nodes"]),
+        int(row.get("shards", 0)),
+        hw,
+    )
 
 
 def engine_rates(record):
     """name -> events/s (higher is better) from the engine row sections."""
     out = {}
-    for row in _engine_rows(record):
-        name = "online_events_per_s[engine=%s,nodes=%d,shards=%d]" % (
-            row.get("engine", "sharded"),
-            int(row["nodes"]),
-            int(row.get("shards", 0)),
+    for row, hw in _section_rows(record, "event_core", "large_scale"):
+        out["online_events_per_s[%s]" % _engine_key(row, hw)] = float(
+            row["events_per_s"]
         )
-        out[name] = float(row["events_per_s"])
     # PR 3's bench_shard_scaling section: always the sharded engine at 1000
     # nodes (the workload string pins it); normalize to the same key space.
-    for row in record.get("shard_scaling", {}).get("results", []):
-        name = "online_events_per_s[engine=sharded,nodes=1000,shards=%d]" % int(
-            row["shards"]
-        )
-        out[name] = float(row["events_per_s"])
+    for row, hw in _section_rows(record, "shard_scaling"):
+        key = _engine_key({"nodes": 1000, "shards": row["shards"]}, hw)
+        out["online_events_per_s[%s]" % key] = float(row["events_per_s"])
     return out
 
 
@@ -95,42 +112,39 @@ def engine_memory(record):
     absent here and show up as only-in-one-file, which never fails.
     """
     out = {}
-    for row in _engine_rows(record):
+    for row, hw in _section_rows(record, "event_core", "large_scale"):
         if "mem_bytes" not in row:
             continue
-        name = "mem_bytes[engine=%s,nodes=%d,shards=%d]" % (
-            row.get("engine", "sharded"),
-            int(row["nodes"]),
-            int(row.get("shards", 0)),
-        )
-        out[name] = float(row["mem_bytes"])
+        out["mem_bytes[%s]" % _engine_key(row, hw)] = float(row["mem_bytes"])
     return out
 
 
-def _serving_key(row):
-    return "scenario=%s,nodes=%d,shards=%d,clients=%d,rate=%d,deltas=%d" % (
+def _serving_key(row, hw):
+    return ("scenario=%s,nodes=%d,shards=%d,clients=%d,rate=%d,deltas=%d,"
+            "hw=%d") % (
         row.get("scenario", "planetlab"),
         int(row["nodes"]),
         int(row.get("shards", 0)),
         int(row.get("clients", 0)),
         int(row.get("rate_qps", 0)),
         int(row.get("snapshot_deltas", 0)),
+        hw,
     )
 
 
 def serving_p99(record):
     """name -> p99 latency in us (lower is better) from the serving rows."""
     out = {}
-    for row in record.get("serving", {}).get("results", []):
-        out["serving_p99_us[%s]" % _serving_key(row)] = float(row["p99_us"])
+    for row, hw in _section_rows(record, "serving"):
+        out["serving_p99_us[%s]" % _serving_key(row, hw)] = float(row["p99_us"])
     return out
 
 
 def serving_qps(record):
     """name -> achieved queries/s (higher is better) from the serving rows."""
     out = {}
-    for row in record.get("serving", {}).get("results", []):
-        out["serving_qps[%s]" % _serving_key(row)] = float(row["qps"])
+    for row, hw in _section_rows(record, "serving"):
+        out["serving_qps[%s]" % _serving_key(row, hw)] = float(row["qps"])
     return out
 
 
@@ -141,29 +155,30 @@ def serving_publish_bytes(record):
     simply absent and show up as only-in-one-file, which never fails.
     """
     out = {}
-    for row in record.get("serving", {}).get("results", []):
+    for row, hw in _section_rows(record, "serving"):
         if "snapshot_publish_bytes_per_epoch" not in row:
             continue
-        out["serving_publish_bytes[%s]" % _serving_key(row)] = float(
+        out["serving_publish_bytes[%s]" % _serving_key(row, hw)] = float(
             row["snapshot_publish_bytes_per_epoch"]
         )
     return out
 
 
-def _rebalance_key(row):
-    return "scenario=%s,nodes=%d,shards=%d,rebalance=%d" % (
+def _rebalance_key(row, hw):
+    return "scenario=%s,nodes=%d,shards=%d,rebalance=%d,hw=%d" % (
         row.get("scenario", "flash-crowd"),
         int(row["nodes"]),
         int(row.get("shards", 0)),
         int(row.get("rebalance", 0)),
+        hw,
     )
 
 
 def rebalance_rates(record):
     """name -> events/s (higher is better) from the rebalance rows."""
     out = {}
-    for row in record.get("rebalance", {}).get("results", []):
-        out["rebalance_events_per_s[%s]" % _rebalance_key(row)] = float(
+    for row, hw in _section_rows(record, "rebalance"):
+        out["rebalance_events_per_s[%s]" % _rebalance_key(row, hw)] = float(
             row["events_per_s"]
         )
     return out
@@ -177,8 +192,8 @@ def rebalance_spread(record):
     slowdown.
     """
     out = {}
-    for row in record.get("rebalance", {}).get("results", []):
-        out["rebalance_util_spread[%s]" % _rebalance_key(row)] = float(
+    for row, hw in _section_rows(record, "rebalance"):
+        out["rebalance_util_spread[%s]" % _rebalance_key(row, hw)] = float(
             row["util_spread"]
         )
     return out
@@ -222,6 +237,7 @@ def main():
         new = json.load(f)
 
     failures = 0
+    vanished = 0
     for title, extract, lower, abs_slack in (
         ("micro kernels (cpu_time)", micro_kernels, True, 0.0),
         ("online engine (events/s)", engine_rates, False, 0.0),
@@ -245,7 +261,10 @@ def main():
             print("  %-58s only in %s (skipped)" % (name, args.old))
         for name in only_new:
             print("  %-58s only in %s (skipped)" % (name, args.new))
+        vanished += len(only_old)
 
+    print("%d entr%s only in %s (vanished from %s; not compared)"
+          % (vanished, "y" if vanished == 1 else "ies", args.old, args.new))
     if failures:
         print("FAIL: %d kernel(s) regressed more than %.0f%%"
               % (failures, args.threshold))

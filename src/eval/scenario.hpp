@@ -83,8 +83,7 @@ struct ScenarioSpec {
   /// Worker shards of the epoch-sharded kernel, for BOTH modes — one run
   /// spread across cores, bit-identical for any shard count (see
   /// sim/sharded_sim.hpp). 0 and 1 both mean one worker shard: the kernel
-  /// is the only engine (the serial simulators were retired in PR 5; their
-  /// facades run the same kernel).
+  /// is the only engine.
   int shards = 0;
 
   WorkloadSpec workload;

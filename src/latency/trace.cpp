@@ -3,6 +3,7 @@
 #include <array>
 #include <cstring>
 #include <memory>
+#include <string>
 
 #include "common/check.hpp"
 
@@ -58,7 +59,7 @@ void TraceWriter::close() {
   out_.close();
 }
 
-TraceReader::TraceReader(const std::string& path) {
+TraceReader::TraceReader(const std::string& path) : path_(path) {
   in_.open(path, std::ios::binary);
   NC_CHECK_MSG(in_.is_open(), "cannot open trace file: " + path);
   std::uint32_t magic = 0;
@@ -75,10 +76,12 @@ TraceReader::TraceReader(const std::string& path) {
 std::optional<TraceRecord> TraceReader::next() {
   if (read_ >= count_) return std::nullopt;
   TraceRecord r;
-  if (!read_pod(in_, r.t_s) || !read_pod(in_, r.src) || !read_pod(in_, r.dst) ||
-      !read_pod(in_, r.rtt_ms)) {
-    return std::nullopt;  // truncated file: stop cleanly
-  }
+  // A short read before the header's record count is a cut-off file: fail
+  // loudly instead of ending the replay early as if the trace were done.
+  NC_CHECK_MSG(read_pod(in_, r.t_s) && read_pod(in_, r.src) &&
+                   read_pod(in_, r.dst) && read_pod(in_, r.rtt_ms),
+               "truncated trace " + path_ + ": read " + std::to_string(read_) +
+                   " of " + std::to_string(count_) + " records");
   ++read_;
   return r;
 }

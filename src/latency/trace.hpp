@@ -59,11 +59,14 @@ class TraceReader final : public TraceSource {
  public:
   explicit TraceReader(const std::string& path);
 
+  /// The next record, or nullopt once the header's record count is read.
+  /// Throws CheckError when the file ends before that count (truncated).
   [[nodiscard]] std::optional<TraceRecord> next() override;
   [[nodiscard]] int num_nodes() const override { return num_nodes_; }
   [[nodiscard]] std::uint64_t record_count() const noexcept { return count_; }
 
  private:
+  std::string path_;
   std::ifstream in_;
   int num_nodes_ = 0;
   std::uint64_t count_ = 0;

@@ -1,26 +1,20 @@
-// ShardLinkStore: a shard's directed-link state, dense or sparse by size.
+// ShardLinkStore: a shard's directed-link state, sparse by construction.
 //
-// A shard indexes per-link stochastic state by (src - first_owned, dst) —
-// a rows x cols logical matrix of rows = owned nodes, cols = n. The dense
-// form (flat array, lazily paged past the eager limit — PagedStore) is
-// unbeatable at bench-tier sizes, but page granularity defeats it at
-// large n: one src row of 100k slots spans ~12 pages of 8192 slots, and a
-// node's ~512 neighbor targets land on nearly all of them, so a 100k-node
-// online run would materialize close to the full O(n^2/W) array anyway
-// (~hundreds of GB). Above `sparse_slot_limit` logical slots the store
-// therefore switches to a per-row CompactSlotIndex (dst -> slab slot) over
-// one shared slab, making memory O(links actually touched) with a
-// two-cache-probe lookup.
+// A shard indexes per-link stochastic state by (row, dst), where rows are
+// the source nodes the shard's store covers and dst ranges over all n
+// nodes. Each node pings only its gossip-grown neighbor set (paper Sec. VI),
+// so the rows x n logical matrix is almost entirely empty: the store keeps
+// a per-row CompactSlotIndex (dst -> slab slot) over one shared slab, making
+// memory O(links actually touched) with a two-cache-probe lookup at any n.
 //
-// Both layouts hand out value-initialized state on first touch, so the
-// modes are observationally identical — tests/sim/link_store_test.cpp pins
-// slot-level equivalence and the engine bit-identity suite runs a forced-
-// sparse engine against the dense one.
+// Fresh slots are value-initialized on first touch, and every link's state
+// is seeded from its own key, so the physical layout never leaks into
+// results — tests/sim/link_store_test.cpp pins the slot-level contract
+// against a dense reference.
 //
 // Not thread-safe; every store is owned by exactly one shard. References
-// returned by at() in sparse mode are invalidated by the next first-touch
-// insertion (the slab is a vector) — use within one event, like any
-// container reference.
+// returned by at() are invalidated by the next first-touch insertion (the
+// slab is a vector) — use within one event, like any container reference.
 #pragma once
 
 #include <algorithm>
@@ -32,41 +26,23 @@
 
 #include "common/check.hpp"
 #include "common/compact_index.hpp"
-#include "common/paged_store.hpp"
 
 namespace nc {
-
-/// Dense (paged) up to 64M logical slots per shard: the 4k bench tier
-/// (16.8M directed slots at W=1) keeps its flat array, n >= 10k at W=1
-/// goes sparse. 64M slots of DirLink-sized state is the break-even point
-/// where per-row index overhead beats page-granularity amplification.
-inline constexpr std::size_t kShardLinkDefaultSparseSlotLimit =
-    std::size_t{64} << 20;
 
 template <typename T>
 class ShardLinkStore {
  public:
   ShardLinkStore() = default;
 
-  ShardLinkStore(std::size_t rows, std::size_t cols,
-                 std::size_t eager_slot_limit = kPagedStoreDefaultEagerSlotLimit,
-                 std::size_t sparse_slot_limit = kShardLinkDefaultSparseSlotLimit)
-      : rows_(rows),
-        cols_(cols),
-        sparse_(rows * cols > sparse_slot_limit) {
+  ShardLinkStore(std::size_t rows, std::size_t cols)
+      : cols_(cols), row_index_(rows) {
     NC_CHECK_MSG(cols_ <= std::numeric_limits<std::uint32_t>::max(),
                  "column space exceeds the compact-index key width");
-    if (sparse_) {
-      row_index_.resize(rows_);
-    } else {
-      dense_ = PagedStore<T>(rows_ * cols_, eager_slot_limit);
-    }
   }
 
   /// The state at (row, col), created value-initialized on first touch.
   [[nodiscard]] T& at(std::size_t row, std::size_t col) {
-    NC_ASSERT(row < rows_ && col < cols_);
-    if (!sparse_) return dense_.at(row * cols_ + col);
+    NC_ASSERT(row < rows() && col < cols_);
     CompactSlotIndex& index = row_index_[row];
     if (const auto slot = index.find(static_cast<std::uint32_t>(col));
         slot.has_value())
@@ -97,26 +73,15 @@ class ShardLinkStore {
   template <typename Live>
   void extract_row(std::size_t row, std::vector<std::pair<std::uint32_t, T>>& out,
                    Live&& live) {
-    NC_ASSERT(row < rows_);
+    NC_ASSERT(row < rows());
     const std::size_t start = out.size();
-    if (!sparse_) {
-      for (std::size_t col = 0; col < cols_; ++col) {
-        T* slot = dense_.try_at(row * cols_ + col);
-        if (slot == nullptr) continue;
-        if (live(*slot))
-          out.emplace_back(static_cast<std::uint32_t>(col), std::move(*slot));
-        *slot = T();
-      }
-    } else {
-      CompactSlotIndex& index = row_index_[row];
-      index.for_each([&](std::uint32_t col, std::uint32_t slot) {
-        if (live(slab_[slot]))
-          out.emplace_back(col, std::move(slab_[slot]));
-        slab_[slot] = T();
-        free_slots_.push_back(slot);
-      });
-      index.clear();
-    }
+    CompactSlotIndex& index = row_index_[row];
+    index.for_each([&](std::uint32_t col, std::uint32_t slot) {
+      if (live(slab_[slot])) out.emplace_back(col, std::move(slab_[slot]));
+      slab_[slot] = T();
+      free_slots_.push_back(slot);
+    });
+    index.clear();
     std::sort(out.begin() + static_cast<std::ptrdiff_t>(start), out.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
   }
@@ -127,26 +92,20 @@ class ShardLinkStore {
     for (const auto& [col, state] : cells) at(row, col) = state;
   }
 
-  /// Read-only probe: the slot's address, or nullptr when never touched in
-  /// sparse mode / page never materialized in dense mode.
+  /// Read-only probe: the slot's address, or nullptr when never touched.
   [[nodiscard]] const T* try_at(std::size_t row, std::size_t col) const noexcept {
-    NC_ASSERT(row < rows_ && col < cols_);
-    if (!sparse_) return dense_.try_at(row * cols_ + col);
+    NC_ASSERT(row < rows() && col < cols_);
     const auto slot = row_index_[row].find(static_cast<std::uint32_t>(col));
     return slot.has_value() ? &slab_[*slot] : nullptr;
   }
 
-  [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
+  [[nodiscard]] std::size_t rows() const noexcept { return row_index_.size(); }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
-  [[nodiscard]] bool sparse() const noexcept { return sparse_; }
-  /// Links materialized so far (sparse mode; dense mode has no per-slot
-  /// touch record, so this reports 0 there).
+  /// Slab slots materialized so far (live plus released-for-reuse).
   [[nodiscard]] std::size_t touched() const noexcept { return slab_.size(); }
 
-  /// Heap bytes held right now: the dense store's accounting in dense mode;
-  /// slab + all per-row index tables in sparse mode.
+  /// Heap bytes held right now: slab, free list and every per-row table.
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    if (!sparse_) return dense_.memory_bytes();
     std::size_t bytes = slab_.capacity() * sizeof(T) +
                         free_slots_.capacity() * sizeof(std::uint32_t) +
                         row_index_.capacity() * sizeof(CompactSlotIndex);
@@ -155,10 +114,7 @@ class ShardLinkStore {
   }
 
  private:
-  std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  bool sparse_ = false;
-  PagedStore<T> dense_;
   std::vector<CompactSlotIndex> row_index_;
   std::vector<T> slab_;
   /// Slab slots released by extract_row, reused before the slab grows.

@@ -1,7 +1,6 @@
 #include "sim/online_sim.hpp"
 
 #include "common/check.hpp"
-#include "sim/sharded_sim.hpp"
 
 namespace nc::sim {
 
@@ -41,47 +40,6 @@ OnlineNodeRuntime make_online_node_runtime(const OnlineSimConfig& config,
     }
   }
   return rt;
-}
-
-OnlineSimulator::OnlineSimulator(const OnlineSimConfig& config,
-                                 lat::LatencyNetwork& network)
-    : engine_(nullptr) {
-  // The facade copies the network's CONFIGURATION; it cannot honor state
-  // scheduled on the network object itself. Reject instead of silently
-  // running an unperturbed experiment — route changes go to the kernel as
-  // ShardedRouteChange arguments (run_scenario resolves them from the spec).
-  NC_CHECK_MSG(network.scheduled_route_change_count() == 0,
-               "the OnlineSimulator facade ignores route changes scheduled on "
-               "the network; construct a ShardedEngine with explicit "
-               "ShardedRouteChange arguments instead");
-  engine_ = std::make_unique<ShardedEngine>(config, /*shards=*/1,
-                                            network.topology(),
-                                            network.link_config(),
-                                            network.availability());
-}
-
-OnlineSimulator::~OnlineSimulator() = default;
-
-void OnlineSimulator::run() { engine_->run(); }
-
-MetricsCollector& OnlineSimulator::metrics() noexcept { return engine_->metrics(); }
-const MetricsCollector& OnlineSimulator::metrics() const noexcept {
-  return engine_->metrics();
-}
-NCClient& OnlineSimulator::client(NodeId id) { return engine_->client(id); }
-NeighborSet& OnlineSimulator::neighbors(NodeId id) { return engine_->neighbors(id); }
-int OnlineSimulator::num_nodes() const noexcept { return engine_->num_nodes(); }
-std::uint64_t OnlineSimulator::pings_sent() const noexcept {
-  return engine_->pings_sent();
-}
-std::uint64_t OnlineSimulator::pings_lost() const noexcept {
-  return engine_->pings_lost();
-}
-std::uint64_t OnlineSimulator::events_processed() const noexcept {
-  return engine_->events_processed();
-}
-MemoryBudget OnlineSimulator::memory_budget() const {
-  return engine_->memory_budget();
 }
 
 }  // namespace nc::sim

@@ -13,33 +13,22 @@
 //    remote state as of arrival time;
 //  * lost pings and down nodes produce timeouts (no observation).
 //
-// Since PR 5 there is exactly ONE online event loop in the repo: the
-// epoch-sharded kernel (sim/sharded_sim.hpp). OnlineSimulator is a thin
-// shards=1 facade over it, kept for callers that hold a LatencyNetwork and
-// want the classic constructor shape; it no longer owns a timer/gossip loop
-// of its own. Its delivery semantics are therefore the kernel's epoch
-// semantics (messages hand over at ping_interval_s boundaries), and all of
-// its stochastic state derives from config.seed — the borrowed network
-// contributes its topology and its link/availability CONFIGURATION, not its
-// internal RNG state.
+// The event loop itself is the epoch-sharded kernel (sim/sharded_sim.hpp),
+// the one engine for every run: construct a ShardedEngine with this config.
+// Delivery semantics are the kernel's epoch semantics (messages hand over
+// at ping_interval_s boundaries), and all stochastic state derives from
+// config.seed and the entity keys.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "common/paged_store.hpp"
 #include "core/nc_client.hpp"
-#include "sim/link_store.hpp"
 #include "core/neighbor_set.hpp"
 #include "estimate/estimator_config.hpp"
-#include "latency/link_model.hpp"
-#include "sim/metrics.hpp"
 
 namespace nc::sim {
-
-class ShardedEngine;
-struct MemoryBudget;
 
 struct OnlineSimConfig {
   NCClientConfig client;
@@ -98,18 +87,6 @@ struct OnlineSimConfig {
   /// Upper bound on nodes migrated per rebalance barrier (>= 0).
   int rebalance_max_moves = 8;
 
-  /// Per-shard directed-link state stays a flat array up to this many slots
-  /// and switches to lazily-allocated pages beyond (common/paged_store.hpp).
-  /// The default keeps the 4k-node bench tier flat; lower it (0 forces
-  /// paging) to bound memory for very large n — results are identical in
-  /// both modes.
-  std::size_t link_eager_slot_limit = kPagedStoreDefaultEagerSlotLimit;
-  /// Above this many logical slots per shard the link store goes SPARSE
-  /// (per-row compact index + slab, sim/link_store.hpp): page granularity
-  /// stops paying at 100k-node scale, where a node's ~512 scattered targets
-  /// touch nearly every page of its row. Lower it (0 forces sparse) to
-  /// test; results are identical in every mode.
-  std::size_t link_sparse_slot_limit = kShardLinkDefaultSparseSlotLimit;
 };
 
 /// Per-node runtime of the online protocol: clients, neighbor sets with
@@ -128,40 +105,5 @@ struct OnlineNodeRuntime {
 /// eat a slot, or nodes silently start under-connected.
 [[nodiscard]] OnlineNodeRuntime make_online_node_runtime(
     const OnlineSimConfig& config, int num_nodes);
-
-/// Thin shards=1 facade over the epoch-sharded kernel. The borrowed network
-/// supplies topology and link/availability configuration only (callers that
-/// share one network across configurations still see identical workloads —
-/// every stochastic draw derives from config.seed and the entity keys).
-class OnlineSimulator {
- public:
-  /// Rejects a network with route changes scheduled on it: the facade
-  /// copies configuration, not network state, so it could not honor them —
-  /// pass schedules to ShardedEngine as ShardedRouteChange arguments.
-  OnlineSimulator(const OnlineSimConfig& config, lat::LatencyNetwork& network);
-  ~OnlineSimulator();
-  OnlineSimulator(const OnlineSimulator&) = delete;
-  OnlineSimulator& operator=(const OnlineSimulator&) = delete;
-
-  /// Runs the full simulation. Call once.
-  void run();
-
-  [[nodiscard]] MetricsCollector& metrics() noexcept;
-  [[nodiscard]] const MetricsCollector& metrics() const noexcept;
-  [[nodiscard]] NCClient& client(NodeId id);
-  [[nodiscard]] NeighborSet& neighbors(NodeId id);
-  [[nodiscard]] int num_nodes() const noexcept;
-
-  [[nodiscard]] std::uint64_t pings_sent() const noexcept;
-  [[nodiscard]] std::uint64_t pings_lost() const noexcept;
-  /// Queue events processed (timers + deliveries), the unit
-  /// bench_event_core reports per second for the facade rows.
-  [[nodiscard]] std::uint64_t events_processed() const noexcept;
-  /// Per-run byte accounting of the underlying engine's state blocks.
-  [[nodiscard]] MemoryBudget memory_budget() const;
-
- private:
-  std::unique_ptr<ShardedEngine> engine_;
-};
 
 }  // namespace nc::sim

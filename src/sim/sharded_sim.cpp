@@ -1,6 +1,7 @@
 #include "sim/sharded_sim.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <barrier>
 #include <chrono>
 #include <cmath>
@@ -125,7 +126,7 @@ ShardedEngine::ShardedEngine(const OnlineSimConfig& config, int shards,
   }
   for (auto& [key, steps] : route_changes_) std::sort(steps.begin(), steps.end());
 
-  // One shared builder with the facade: same validations, same per-node
+  // One shared node-runtime builder: same validations, same per-node
   // streams, same bootstrap membership (identical at any shard count —
   // every draw comes from a node's own stream).
   OnlineNodeRuntime rt = make_online_node_runtime(config, n);
@@ -215,24 +216,16 @@ void ShardedEngine::init_shards(int shards, int num_nodes) {
     // stream-seeded on first touch. Online mode only — replay traffic
     // carries its RTTs in the trace, so replay shards own no link state at
     // all. Static partition: rows cover the shard's contiguous node block.
-    // Dynamic ownership breaks the contiguous-block invariant, so the
-    // stores span the FULL id space (row == node id; first_owned == 0) and
-    // a migration is a row hand-off between stores; forced paged/sparse so
-    // each shard pays for the rows it actually owns, not n^2.
-    if (rebalancing_) {
-      shard.first_owned = 0;
-      if (mode_ == Mode::kOnline)
-        shard.links = ShardLinkStore<DirLink>(
-            static_cast<std::size_t>(num_nodes),
-            static_cast<std::size_t>(num_nodes), 0,
-            config_.link_sparse_slot_limit);
-    } else if (!shard.owned.empty()) {
+    // Dynamic ownership breaks the contiguous-block invariant, so rows span
+    // the FULL id space (row == node id; first_owned == 0) and a migration
+    // is a row hand-off between stores. The store is sparse either way, so
+    // a shard pays for the links its nodes touch, not for its row count.
+    if (!rebalancing_ && !shard.owned.empty())
       shard.first_owned = shard.owned.front();
-      if (mode_ == Mode::kOnline)
-        shard.links = ShardLinkStore<DirLink>(
-            shard.owned.size(), static_cast<std::size_t>(num_nodes),
-            config_.link_eager_slot_limit, config_.link_sparse_slot_limit);
-    }
+    const auto n = static_cast<std::size_t>(num_nodes);
+    if (mode_ == Mode::kOnline)
+      shard.links =
+          ShardLinkStore<DirLink>(rebalancing_ ? n : shard.owned.size(), n);
 
     std::vector<NodeId> tracked;
     for (NodeId id : config_.tracked_nodes) {
@@ -712,6 +705,15 @@ void ShardedEngine::run_epochs() {
 
   std::barrier<> sync(static_cast<std::ptrdiff_t>(W));
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(W));
+  // A failed shard drops out of the barrier; the others leave at their next
+  // barrier instead of running the rest of the run for a result the rethrow
+  // below discards (messages to the failed shard would pile up unread).
+  std::atomic<bool> failed{false};
+  const auto stop_after_failure = [&] {
+    if (!failed.load(std::memory_order_relaxed)) return false;
+    sync.arrive_and_drop();
+    return true;
+  };
 
   const auto work = [&](int s) noexcept {
     Shard& shard = shards_[static_cast<std::size_t>(s)];
@@ -761,6 +763,7 @@ void ShardedEngine::run_epochs() {
         deliver_batch(shard, s, epoch_start);
         shard.busy_s += thread_cpu_seconds() - seg_delivery;
         sync.arrive_and_wait();
+        if (stop_after_failure()) return;
         const double seg_processing = thread_cpu_seconds();
         // The decision just consumed the weights (pre-barrier, identically
         // on every shard); start the next accumulation window at zero.
@@ -777,6 +780,7 @@ void ShardedEngine::run_epochs() {
         if (decide) pack_departures(shard, s);
         shard.busy_s += thread_cpu_seconds() - seg_processing;
         sync.arrive_and_wait();
+        if (stop_after_failure()) return;
       }
       // Destination error records emitted in the final epoch still count:
       // one last drain, applying only metric records (any in-flight
@@ -797,6 +801,7 @@ void ShardedEngine::run_epochs() {
       shard.collector->finalize();
     } catch (...) {
       errors[static_cast<std::size_t>(s)] = std::current_exception();
+      failed.store(true, std::memory_order_relaxed);
       sync.arrive_and_drop();  // release peers for all remaining phases
     }
   };

@@ -55,9 +55,9 @@
 // The steady-state event loop is allocation-free (DESIGN.md "Event core"):
 // per-shard calendar queues replace binary heaps, delivery batches are
 // k-way merges into buffers reused across epochs, and per-link latency
-// state lives in a directed-link-indexed ShardLinkStore — flat at
-// bench-tier sizes, lazily paged beyond, per-row compact-indexed at
-// 100k-node scale (sim/link_store.hpp).
+// state lives in a sparse directed-link ShardLinkStore — a per-row compact
+// index over one slab, so memory tracks the links nodes actually ping
+// (sim/link_store.hpp).
 //
 // Protocol semantics are declared per mode: messages cross the network at
 // epoch granularity (a ping sent in epoch k is answered in epoch k+1 and
@@ -66,8 +66,9 @@
 // observed at the next boundary), and node up/down/overload state advances
 // at epoch starts instead of per query. shards=1 is the reference
 // semantics; the retired serial engines' immediate-delivery semantics no
-// longer exist as a separate code path (OnlineSimulator and ReplayDriver
-// are thin facades over this kernel).
+// longer exist as a separate code path. This class is the one entry point
+// for both modes: construct it with an OnlineSimConfig (online) or a
+// ReplayConfig (replay).
 #pragma once
 
 #include <cstdint>
@@ -198,7 +199,9 @@ class ShardedEngine {
   /// its own slice concurrently — bit-identical to run(source) on the
   /// unpartitioned trace at any shard count. No oracle: the generating
   /// LatencyNetwork is not safe to sample from concurrent readers. Call
-  /// once; replay mode only; sources.size() must equal shards().
+  /// once; replay mode only; sources.size() must equal shards(). A source
+  /// that throws (a truncated TraceReader slice) fails the run: every
+  /// worker stops at its next barrier and the exception is rethrown here.
   void run_partitioned(const std::vector<lat::TraceSource*>& sources);
 
   /// Merged metrics over all shards; valid after run().
@@ -272,8 +275,8 @@ class ShardedEngine {
   /// Streams are per direction (route factor, bursts, jitter draws evolve
   /// independently for i->j and j->i); controlled route changes apply to
   /// both directions. The state machine is the shared lat::LinkDynamics.
-  /// Initialization stays lazy (stream seeded at first-touch time), but the
-  /// slot itself lives in the shard's dense directed-link store.
+  /// Initialization is lazy: the slot is created in the shard's link store
+  /// and its stream seeded at first touch.
   struct DirLink {
     Rng rng;
     lat::LinkDynamics dyn;
@@ -312,10 +315,8 @@ class ShardedEngine {
     std::vector<NodeId> owned;  // sorted; contiguous block unless rebalancing
     NodeId first_owned = 0;     // 0 when rebalancing (full-height stores)
     ShardEventQueue queue;
-    /// Directed-link state indexed (src - first_owned, dst). Flat at
-    /// bench-tier sizes, lazily paged beyond, per-row compact-indexed at
-    /// large n (ShardLinkStore picks the layout; all observationally
-    /// identical).
+    /// Directed-link state indexed (src - first_owned, dst): sparse, one
+    /// compact index per row over a shared slab (online mode only).
     ShardLinkStore<DirLink> links;
     /// Delivery batch buffer, reused every epoch (collect_into target).
     std::vector<ShardMessage> inbox;

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "eval/scenario.hpp"
-#include "sim/replay.hpp"
+#include "sim/sharded_sim.hpp"
 
 namespace nc::eval {
 namespace {
@@ -205,10 +205,10 @@ TEST(PaperProperties, ConfidenceBuildingHelpsOnCluster) {
     rc.client = s.client;
     rc.duration_s = s.workload.duration_s;
     rc.measure_start_s = 300.0;
-    sim::ReplayDriver driver(rc, gen.num_nodes());
-    driver.run(gen);
+    sim::ShardedEngine engine(rc, gen.num_nodes());
+    engine.run(gen);
     double sum = 0.0;
-    for (NodeId id = 0; id < 3; ++id) sum += driver.client(id).confidence();
+    for (NodeId id = 0; id < 3; ++id) sum += engine.client(id).confidence();
     return sum / 3.0;
   };
   const double without = cluster_confidence(0.0);

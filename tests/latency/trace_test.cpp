@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
@@ -62,6 +63,32 @@ TEST(TraceIo, RejectsGarbageFile) {
 
 TEST(TraceIo, RejectsMissingFile) {
   EXPECT_THROW(TraceReader{temp_path("does-not-exist.nctr")}, CheckError);
+}
+
+// A file cut off before the header's record count is an error, not an
+// early end of trace: next() throws, naming the file and the shortfall.
+TEST(TraceIo, TruncatedFileThrowsNamingTheShortfall) {
+  const std::string path = temp_path("truncated.nctr");
+  {
+    TraceWriter w(path, 4);
+    w.append({0.5, 0, 1, 10.0f});
+    w.append({1.5, 1, 2, 20.0f});
+    w.append({2.5, 2, 3, 30.0f});
+  }
+  // Cut the last record in half.
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) - 10);
+  TraceReader r(path);
+  EXPECT_EQ(r.record_count(), 3u);
+  ASSERT_TRUE(r.next().has_value());
+  ASSERT_TRUE(r.next().has_value());
+  try {
+    (void)r.next();
+    FAIL() << "a truncated trace must not end silently";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find("read 2 of 3 records"), std::string::npos) << what;
+  }
 }
 
 TEST(TraceIo, AppendAfterCloseRejected) {

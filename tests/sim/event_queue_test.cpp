@@ -1,85 +1,91 @@
-#include "sim/event_queue.hpp"
+// The engine's event queue (ShardEventQueue over CalendarQueue).
+//
+// The EventQueue cases pin the calendar's time ordering: with every other
+// key field equal, ShardEventQueue's canonical (t, kind, a, b, seq) order
+// reduces to (t, seq), so events scheduled with a running sequence number
+// pop in time order with ties in scheduling order — across bucket
+// wrap-arounds, far-future overflow and resizes. The ShardEventQueue cases
+// pin the engine-specific tie-breaks and the batch path.
+#include "sim/shard_mailbox.hpp"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/check.hpp"
-#include "sim/shard_mailbox.hpp"
 
 namespace nc::sim {
 namespace {
 
-struct Payload {
-  int id;
+/// Schedules like a serial (time, insertion-order) queue: one event kind
+/// and owner, a running sequence number, and the caller's id in `gossip`.
+class SerialSchedule {
+ public:
+  void schedule(double t, int id) {
+    ShardEvent ev;
+    ev.t = t;
+    ev.kind = ShardEventKind::kPingTimer;
+    ev.seq = next_seq_++;
+    ev.gossip = id;
+    queue.push(ev);
+  }
+  /// Pops the earliest event and returns its id.
+  int pop_id() { return queue.pop().gossip; }
+
+  ShardEventQueue queue;
+
+ private:
+  std::uint64_t next_seq_ = 0;
 };
 
 TEST(EventQueue, EmptyPopsNothing) {
-  EventQueue<Payload> q;
+  ShardEventQueue q;
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.pop(), std::nullopt);
-  EXPECT_EQ(q.now(), 0.0);
+  EXPECT_FALSE(q.has_event_before(1e18));
+  EXPECT_THROW((void)q.pop(), CheckError);
 }
 
 TEST(EventQueue, PopsInTimeOrder) {
-  EventQueue<Payload> q;
-  q.schedule(3.0, {3});
-  q.schedule(1.0, {1});
-  q.schedule(2.0, {2});
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.pop()->payload.id, 1);
-  EXPECT_EQ(q.pop()->payload.id, 2);
-  EXPECT_EQ(q.pop()->payload.id, 3);
-  EXPECT_TRUE(q.empty());
+  SerialSchedule q;
+  q.schedule(3.0, 3);
+  q.schedule(1.0, 1);
+  q.schedule(2.0, 2);
+  EXPECT_EQ(q.queue.size(), 3u);
+  EXPECT_EQ(q.pop_id(), 1);
+  EXPECT_EQ(q.pop_id(), 2);
+  EXPECT_EQ(q.pop_id(), 3);
+  EXPECT_TRUE(q.queue.empty());
 }
 
 TEST(EventQueue, TiesBreakInInsertionOrder) {
-  EventQueue<Payload> q;
-  for (int i = 0; i < 10; ++i) q.schedule(5.0, {i});
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(q.pop()->payload.id, i);
-}
-
-TEST(EventQueue, ClockAdvancesWithPops) {
-  EventQueue<Payload> q;
-  q.schedule(2.5, {1});
-  q.schedule(7.0, {2});
-  EXPECT_EQ(q.pop()->payload.id, 1);
-  EXPECT_EQ(q.now(), 2.5);
-  EXPECT_EQ(q.pop()->payload.id, 2);
-  EXPECT_EQ(q.now(), 7.0);
-}
-
-TEST(EventQueue, SchedulingInThePastRejected) {
-  EventQueue<Payload> q;
-  q.schedule(10.0, {1});
-  EXPECT_EQ(q.pop()->payload.id, 1);
-  EXPECT_THROW(q.schedule(5.0, {2}), CheckError);
-  q.schedule(10.0, {3});  // same time as now is fine
-  EXPECT_EQ(q.pop()->payload.id, 3);
+  SerialSchedule q;
+  for (int i = 0; i < 10; ++i) q.schedule(5.0, i);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(q.pop_id(), i);
 }
 
 TEST(EventQueue, InterleavedScheduleAndPop) {
-  EventQueue<Payload> q;
-  q.schedule(1.0, {1});
-  const auto e1 = q.pop();
-  q.schedule(e1->t + 1.0, {2});
-  q.schedule(e1->t + 0.5, {3});
-  EXPECT_EQ(q.pop()->payload.id, 3);
-  EXPECT_EQ(q.pop()->payload.id, 2);
+  SerialSchedule q;
+  q.schedule(1.0, 1);
+  const ShardEvent e1 = q.queue.pop();
+  q.schedule(e1.t + 1.0, 2);
+  q.schedule(e1.t + 0.5, 3);
+  EXPECT_EQ(q.pop_id(), 3);
+  EXPECT_EQ(q.pop_id(), 2);
 }
 
 TEST(EventQueue, ManyEventsStressOrdering) {
-  EventQueue<Payload> q;
+  SerialSchedule q;
   // Deterministic pseudo-random times.
   std::uint64_t x = 12345;
   for (int i = 0; i < 10000; ++i) {
     x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-    q.schedule(static_cast<double>(x % 100000) / 10.0, {i});
+    q.schedule(static_cast<double>(x % 100000) / 10.0, i);
   }
   double last = -1.0;
-  while (auto e = q.pop()) {
-    ASSERT_GE(e->t, last);
-    last = e->t;
+  while (!q.queue.empty()) {
+    const ShardEvent e = q.queue.pop();
+    ASSERT_GE(e.t, last);
+    last = e.t;
   }
 }
 
@@ -87,61 +93,61 @@ TEST(EventQueue, ManyEventsStressOrdering) {
 // insertion (sequence) order even when interleaved with earlier/later times
 // and when the burst is large enough to trigger bucket-count rebuilds.
 TEST(EventQueue, LargeSameTimeBurstPopsInInsertionOrder) {
-  EventQueue<Payload> q;
-  q.schedule(4.0, {-1});
-  for (int i = 0; i < 2000; ++i) q.schedule(5.0, {i});
-  q.schedule(4.5, {-2});
-  EXPECT_EQ(q.pop()->payload.id, -1);
-  EXPECT_EQ(q.pop()->payload.id, -2);
-  for (int i = 0; i < 2000; ++i) ASSERT_EQ(q.pop()->payload.id, i);
-  EXPECT_TRUE(q.empty());
+  SerialSchedule q;
+  q.schedule(4.0, -1);
+  for (int i = 0; i < 2000; ++i) q.schedule(5.0, i);
+  q.schedule(4.5, -2);
+  EXPECT_EQ(q.pop_id(), -1);
+  EXPECT_EQ(q.pop_id(), -2);
+  for (int i = 0; i < 2000; ++i) ASSERT_EQ(q.pop_id(), i);
+  EXPECT_TRUE(q.queue.empty());
 }
 
 // A steady hold pattern cycles the calendar through many "years" (bucket
 // wrap-arounds): order must hold across every wrap.
 TEST(EventQueue, HoldPatternSurvivesBucketWrapAround) {
-  EventQueue<Payload> q;
+  SerialSchedule q;
   std::uint64_t x = 99;
-  for (int i = 0; i < 64; ++i) q.schedule(static_cast<double>(i) / 8.0, {i});
+  for (int i = 0; i < 64; ++i) q.schedule(static_cast<double>(i) / 8.0, i);
   double last = 0.0;
   for (int i = 0; i < 50000; ++i) {
-    const auto e = q.pop();
-    ASSERT_TRUE(e.has_value());
-    ASSERT_GE(e->t, last);
-    last = e->t;
+    ASSERT_FALSE(q.queue.empty());
+    const ShardEvent e = q.queue.pop();
+    ASSERT_GE(e.t, last);
+    last = e.t;
     x = x * 6364136223846793005ULL + 1442695040888963407ULL;
     // Mean increment ~8 time units over 64 held events: the active window
     // keeps sliding far past any fixed bucket year.
-    q.schedule(e->t + static_cast<double>(x % 1000) / 64.0, {i});
+    q.schedule(e.t + static_cast<double>(x % 1000) / 64.0, i);
   }
-  EXPECT_EQ(q.size(), 64u);
+  EXPECT_EQ(q.queue.size(), 64u);
 }
 
 // Events scheduled far beyond the calendar's covered year wait in their
 // residue bucket (the overflow case) and must surface exactly in order once
 // the near-term traffic drains.
 TEST(EventQueue, FarFutureEventsPopAfterNearOnes) {
-  EventQueue<Payload> q;
-  q.schedule(1e6, {100});  // years ahead of everything else
-  q.schedule(2e6, {200});
-  for (int i = 0; i < 100; ++i) q.schedule(static_cast<double>(i), {i});
-  for (int i = 0; i < 100; ++i) ASSERT_EQ(q.pop()->payload.id, i);
-  EXPECT_EQ(q.pop()->payload.id, 100);  // cursor jumps a year gap
-  EXPECT_EQ(q.pop()->payload.id, 200);
-  EXPECT_EQ(q.pop(), std::nullopt);
+  SerialSchedule q;
+  q.schedule(1e6, 100);  // years ahead of everything else
+  q.schedule(2e6, 200);
+  for (int i = 0; i < 100; ++i) q.schedule(static_cast<double>(i), i);
+  for (int i = 0; i < 100; ++i) ASSERT_EQ(q.pop_id(), i);
+  EXPECT_EQ(q.pop_id(), 100);  // cursor jumps a year gap
+  EXPECT_EQ(q.pop_id(), 200);
+  EXPECT_TRUE(q.queue.empty());
   // The queue stays usable after draining through the far-future jump.
-  q.schedule(3e6, {300});
-  EXPECT_EQ(q.pop()->payload.id, 300);
+  q.schedule(3e6, 300);
+  EXPECT_EQ(q.pop_id(), 300);
 }
 
 // Grow-then-shrink: a large population resizes the calendar up; draining it
 // must shrink back without losing or reordering the survivors.
 TEST(EventQueue, ShrinkAfterDrainKeepsRemainingOrder) {
-  EventQueue<Payload> q;
-  for (int i = 0; i < 5000; ++i) q.schedule(static_cast<double>(i) * 0.01, {i});
-  for (int i = 0; i < 4990; ++i) ASSERT_EQ(q.pop()->payload.id, i);
-  for (int i = 0; i < 10; ++i) ASSERT_EQ(q.pop()->payload.id, 4990 + i);
-  EXPECT_TRUE(q.empty());
+  SerialSchedule q;
+  for (int i = 0; i < 5000; ++i) q.schedule(static_cast<double>(i) * 0.01, i);
+  for (int i = 0; i < 4990; ++i) ASSERT_EQ(q.pop_id(), i);
+  for (int i = 0; i < 10; ++i) ASSERT_EQ(q.pop_id(), 4990 + i);
+  EXPECT_TRUE(q.queue.empty());
 }
 
 // ---- ShardEventQueue: canonical (t, kind, a, b, seq) order ----

@@ -21,7 +21,6 @@
 #include "eval/scenario.hpp"
 #include "latency/trace.hpp"
 #include "latency/trace_generator.hpp"
-#include "sim/replay.hpp"
 #include "sim/sharded_sim.hpp"
 
 namespace nc::sim {
@@ -218,15 +217,15 @@ TEST(Rebalance, ReplayBitIdenticalWithMigration) {
     rc.shards = shards;
     rc.rebalance_interval_epochs = every;
     rc.rebalance_max_moves = 16;
-    ReplayDriver driver(rc, gen.num_nodes());
-    driver.run(gen);
+    ShardedEngine engine(rc, gen.num_nodes());
+    engine.run(gen);
     std::vector<Coordinate> coords;
-    for (NodeId id = 0; id < driver.num_nodes(); ++id)
-      coords.push_back(driver.client(id).system_coordinate());
-    return std::pair{std::tuple{coords, driver.metrics().observation_count(),
-                                driver.events_processed(),
-                                driver.metrics().median_relative_error()},
-                     driver.migrated_nodes()};
+    for (NodeId id = 0; id < engine.num_nodes(); ++id)
+      coords.push_back(engine.client(id).system_coordinate());
+    return std::pair{std::tuple{coords, engine.metrics().observation_count(),
+                                engine.events_processed(),
+                                engine.metrics().median_relative_error()},
+                     engine.migrated_nodes()};
   };
   const auto serial = run_with(1, 0);
   for (int shards : {2, 3}) {
@@ -249,12 +248,12 @@ TEST(Rebalance, PartitionedReplayComposesWithRebalance) {
   tc.seed = 71;
   lat::generate_trace_file(tc, whole);
 
-  const auto result_of = [](ReplayDriver& driver) {
+  const auto result_of = [](ShardedEngine& engine) {
     std::vector<Coordinate> coords;
-    for (NodeId id = 0; id < driver.num_nodes(); ++id)
-      coords.push_back(driver.client(id).system_coordinate());
-    return std::tuple{coords, driver.metrics().observation_count(),
-                      driver.events_processed()};
+    for (NodeId id = 0; id < engine.num_nodes(); ++id)
+      coords.push_back(engine.client(id).system_coordinate());
+    return std::tuple{coords, engine.metrics().observation_count(),
+                      engine.events_processed()};
   };
   ReplayConfig rc;
   rc.client.vivaldi.dim = 3;
@@ -266,7 +265,7 @@ TEST(Rebalance, PartitionedReplayComposesWithRebalance) {
 
   lat::TraceReader ref_src(whole);
   rc.shards = 1;
-  ReplayDriver ref(rc, ref_src.num_nodes());
+  ShardedEngine ref(rc, ref_src.num_nodes());
   ref.run(ref_src);
   const auto expected = result_of(ref);
 
@@ -281,10 +280,10 @@ TEST(Rebalance, PartitionedReplayComposesWithRebalance) {
       sources.push_back(slices.back().get());
     }
     rc.shards = shards;
-    ReplayDriver driver(rc, ref_src.num_nodes());
-    driver.run_partitioned(sources);
-    EXPECT_EQ(result_of(driver), expected) << "shards=" << shards;
-    EXPECT_GT(driver.migrated_nodes(), 0u) << "shards=" << shards;
+    ShardedEngine engine(rc, ref_src.num_nodes());
+    engine.run_partitioned(sources);
+    EXPECT_EQ(result_of(engine), expected) << "shards=" << shards;
+    EXPECT_GT(engine.migrated_nodes(), 0u) << "shards=" << shards;
   }
 }
 

@@ -171,52 +171,6 @@ TEST(ShardedEngine, DriftTrackingIsShardCountInvariant) {
   EXPECT_EQ(serial, drift_of(3));
 }
 
-// Paged directed-link state (the 10k-node fallback) must be observationally
-// identical to the flat bench-tier arrays: same coordinates, same counters.
-TEST(ShardedEngine, PagedLinkStateBitIdenticalToEager) {
-  const auto run_with = [](std::size_t eager_limit, int shards) {
-    OnlineSimConfig c = small_config(600.0);
-    c.link_eager_slot_limit = eager_limit;
-    ShardedEngine sim(c, shards, small_topology(), lat::LinkModelConfig{},
-                      all_up());
-    sim.run();
-    std::vector<Coordinate> coords;
-    for (NodeId id = 0; id < sim.num_nodes(); ++id)
-      coords.push_back(sim.client(id).system_coordinate());
-    return std::tuple{coords, sim.pings_sent(), sim.pings_lost(),
-                      sim.metrics().observation_count()};
-  };
-  // limit 0 forces paging at any size; the default keeps this n flat.
-  const auto eager = run_with(kPagedStoreDefaultEagerSlotLimit, 1);
-  EXPECT_EQ(eager, run_with(0, 1));
-  EXPECT_EQ(eager, run_with(0, 3));
-}
-
-// The 100k-node layout: sparse per-row compact-indexed link state must be
-// observationally identical to the dense (flat/paged) layouts too — every
-// link's stream is seeded from its own key, so the physical layout can
-// never leak into results.
-TEST(ShardedEngine, SparseLinkStateBitIdenticalToDense) {
-  const auto run_with = [](std::size_t sparse_limit, int shards) {
-    OnlineSimConfig c = small_config(600.0);
-    c.link_sparse_slot_limit = sparse_limit;
-    ShardedEngine sim(c, shards, small_topology(), lat::LinkModelConfig{},
-                      all_up());
-    sim.run();
-    std::vector<Coordinate> coords;
-    for (NodeId id = 0; id < sim.num_nodes(); ++id)
-      coords.push_back(sim.client(id).system_coordinate());
-    return std::tuple{coords, sim.pings_sent(), sim.pings_lost(),
-                      sim.metrics().observation_count(),
-                      sim.memory_budget().client_bytes};
-  };
-  // limit 0 forces the sparse layout at any size; the default keeps this n
-  // dense.
-  const auto dense = run_with(kShardLinkDefaultSparseSlotLimit, 1);
-  EXPECT_EQ(dense, run_with(0, 1));
-  EXPECT_EQ(dense, run_with(0, 3));
-}
-
 TEST(ShardedEngine, MoreShardsThanNodesWorks) {
   ShardedEngine sim(small_config(300.0), 8, small_topology(5),
                              lat::LinkModelConfig{}, all_up());
